@@ -180,6 +180,23 @@ module Fortran_outer = Make_fortran (struct
   let autopar = Fortran_baseline.F_solver.Outer
 end)
 
+(* [euler_1d] compiled once per process, as sac2c compiles the
+   paper's port once: the first sacprog create compiles it (under the
+   lock, so concurrent first creates on several domains compile it
+   once) and every instance then builds its own VM or interpreter
+   context over the shared program, which nothing mutates.  [Lazy]
+   is not domain-safe, hence the mutex. *)
+let euler_1d =
+  let lock = Mutex.create () and cached = ref None in
+  fun () ->
+    Mutex.protect lock (fun () ->
+        match !cached with
+        | Some c -> c
+        | None ->
+          let c = Sacprog.Runner.compile_euler_1d () in
+          cached := Some c;
+          c)
+
 module Make_sacprog (A : sig
   val name : string
   val engine : Sacprog.Runner.engine
@@ -201,14 +218,32 @@ end) : Backend.BACKEND = struct
   let name = A.name
   let supports_2d = false
 
-  let create (s : Backend.spec) =
+  (* The engine's state lives as an interior-only [3, nx] array;
+     ghosts are refilled from the boundary conditions inside the SaC
+     program every step, so [st]'s interior is all an instance needs. *)
+  let interior (st : Euler.State.t) =
+    let g = st.Euler.State.grid in
+    Sac.Value.Vdarr
+      (Tensor.Nd.init [| 3; g.Euler.Grid.nx |] (fun iv ->
+           let o = Euler.Grid.offset g iv.(1) 0 in
+           let k =
+             match iv.(0) with
+             | 0 -> Euler.State.i_rho
+             | 1 -> Euler.State.i_mx
+             | _ -> Euler.State.i_e
+           in
+           st.Euler.State.q.(k).(o)))
+
+  (* An instance whose [q] is [from]'s interior; the template (grid,
+     gamma, ghost layout) is always the problem's. *)
+  let build (s : Backend.spec) ~from =
     benchmark_scheme_only ~name s.config;
     no_tiling ~name s.config;
     let st = s.problem.Euler.Setup.state in
     let g = st.Euler.State.grid in
     if not (Euler.Grid.is_1d g) then
       invalid_arg (Printf.sprintf "Engine backend %S is 1D only" name);
-    let compiled = Sacprog.Runner.compile_euler_1d () in
+    let compiled = euler_1d () in
     let run, eval_stats, fold_kernels =
       match A.engine with
       | `Vm ->
@@ -228,28 +263,19 @@ end) : Backend.BACKEND = struct
         in
         (Sac.Eval.run_fun ctx, (fun () -> Sac.Eval.stats ctx), fun () -> 0)
     in
-    let q =
-      Tensor.Nd.init [| 3; g.Euler.Grid.nx |] (fun iv ->
-          let o = Euler.Grid.offset g iv.(1) 0 in
-          let k =
-            match iv.(0) with
-            | 0 -> Euler.State.i_rho
-            | 1 -> Euler.State.i_mx
-            | _ -> Euler.State.i_e
-          in
-          st.Euler.State.q.(k).(o))
-    in
     { run;
       eval_stats;
       fold_kernels;
       template = Euler.State.copy st;
-      q = Sac.Value.Vdarr q;
+      q = interior from;
       gam = st.Euler.State.gamma;
       dx = g.Euler.Grid.dx;
       cfl = s.config.Euler.Solver.cfl;
       exec = s.exec;
       time = 0.;
       steps = 0 }
+
+  let create (s : Backend.spec) = build s ~from:s.problem.Euler.Setup.state
 
   (* The engine's with-loops already run (and are counted) through
      [exec] when large enough; [timed] additionally charges the whole
@@ -316,32 +342,14 @@ end) : Backend.BACKEND = struct
       ~config:{ Euler.Solver.benchmark_config with Euler.Solver.cfl = t.cfl }
       ~steps:t.steps ~time:t.time (state t)
 
-  (* The engine's state lives as an interior-only [3, nx] array;
-     ghosts are refilled from the boundary conditions inside the SaC
-     program every step, so rebuilding [q] from the snapshot's
-     interior is a complete restore. *)
   let restore (spec : Backend.spec) snap =
     Snap.check ~backend:name ~config:spec.config
       spec.problem.Euler.Setup.state snap;
-    let t = create spec in
-    let st = Euler.State.copy t.template in
+    let st = Euler.State.copy spec.problem.Euler.Setup.state in
     Snap.restore_state snap ~into:st;
-    let g = st.Euler.State.grid in
-    let q =
-      Tensor.Nd.init [| 3; g.Euler.Grid.nx |] (fun iv ->
-          let o = Euler.Grid.offset g iv.(1) 0 in
-          let k =
-            match iv.(0) with
-            | 0 -> Euler.State.i_rho
-            | 1 -> Euler.State.i_mx
-            | _ -> Euler.State.i_e
-          in
-          st.Euler.State.q.(k).(o))
-    in
-    t.q <- Sac.Value.Vdarr q;
-    t.time <- snap.Persist.Snapshot.sim_time;
-    t.steps <- snap.Persist.Snapshot.steps;
-    t
+    { (build spec ~from:st) with
+      time = snap.Persist.Snapshot.sim_time;
+      steps = snap.Persist.Snapshot.steps }
 end
 
 module Sacprog = Make_sacprog (struct

@@ -27,6 +27,13 @@ end) : Backend.BACKEND
 module Fortran : Backend.BACKEND
 module Fortran_outer : Backend.BACKEND
 
+val euler_1d : unit -> Sacprog.Runner.compiled
+(** {!Sacprog.Programs.euler_1d} under the default pipeline options,
+    compiled once per process on first use (domain-safe) and shared by
+    every sacprog instance, each of which builds its own VM or
+    interpreter context over it.  {!Sacprog.Runner.compile_euler_1d}
+    stays uncached. *)
+
 module Make_sacprog (_ : sig
   val name : string
   val engine : Sacprog.Runner.engine

@@ -101,6 +101,16 @@ let materialize cfg ~exec (job : Job.t) =
         prob,
       `Fresh )
 
+let capture f = match f () with v -> Ok v | exception e -> Error (describe_exn e)
+
+(* Write the job's checkpoint and prune its directory to [retain];
+   returns the snapshot path. *)
+let checkpoint cfg (job : Job.t) inst =
+  let dir = ckpt_dir cfg job in
+  let path, _ = Persist.Checkpoint.save ~dir (Engine.Backend.snapshot inst) in
+  Persist.Checkpoint.retain ~dir ~keep:cfg.retain;
+  path
+
 let finished (job : Job.t) inst =
   match job.Job.target with
   | Job.Steps n -> Engine.Backend.steps inst >= n
@@ -155,23 +165,18 @@ let drain ?(on_event = fun (_ : event) -> ()) ?(before_round = fun () -> ())
         last = None }
   in
   (* Post-slice bookkeeping, on the orchestrating domain: account the
-     slice, then either finish (final checkpoint + outcome) or
-     preempt (checkpoint + requeue). *)
-  let settle (job : Job.t) inst ~steps_before (m : Engine.Metrics.t) =
+     slice, then finish (outcome) or preempt (requeue) on the
+     checkpoint [ckpt] the slice's lane wrote. *)
+  let settle (job : Job.t) inst ~steps_before (m : Engine.Metrics.t) ckpt =
     let st = stats job in
     let slice_steps = Engine.Backend.steps inst - steps_before in
     st.wall <- st.wall +. m.Engine.Metrics.wall_s;
     st.steps_run <- st.steps_run + slice_steps;
     Queue.charge q ~submitter:job.Job.submitter
       (float_of_int slice_steps *. float_of_int (interior_cells inst));
-    let dir = ckpt_dir cfg job in
-    match
-      let path, _ = Persist.Checkpoint.save ~dir (Engine.Backend.snapshot inst) in
-      Persist.Checkpoint.retain ~dir ~keep:cfg.retain;
-      path
-    with
-    | exception e -> fail ~inst job ("checkpoint write: " ^ describe_exn e)
-    | path ->
+    match ckpt with
+    | Error msg -> fail ~inst job ("checkpoint write: " ^ msg)
+    | Ok path ->
       if finished job inst then
         complete
           { job;
@@ -191,57 +196,74 @@ let drain ?(on_event = fun (_ : event) -> ()) ?(before_round = fun () -> ())
         Queue.submit q job
       end
   in
-  let materialize_tracked ~exec job =
-    match materialize cfg ~exec job with
-    | inst, how ->
-      (match how with
-       | `Resumed _ -> (stats job).resumes <- (stats job).resumes + 1
-       | `Fresh -> ());
-      on_event (Dispatched (job, how));
-      Some inst
-    | exception e ->
-      fail job (describe_exn e);
-      None
+  let dispatched (job : Job.t) how =
+    (match how with
+     | `Resumed _ -> (stats job).resumes <- (stats job).resumes + 1
+     | `Fresh -> ());
+    on_event (Dispatched (job, how))
   in
-  (* A batch of small jobs: private sequential execs, one shared
-     dispatch over job indices for the whole slice.  Exceptions are
-     captured per slot — a diverging tube must not take the dispatch
-     (or its batch-mates) down with it. *)
+  (* A batch of small jobs is two shared dispatches over job indices,
+     each job on a private sequential exec: (a) materialise, then
+     (b) slice + checkpoint.  Lanes claim jobs one at a time, longest
+     first, so the big tubes start early and the small ones fill in
+     behind them.  Exceptions are captured per slot — a diverging tube
+     must not take the dispatch (or its batch-mates) down with it —
+     and events, accounting and requeues stay on the orchestrator, in
+     queue order. *)
   let run_batch batch =
-    let lives =
-      List.filter_map
-        (fun job ->
-          let exec = Parallel.Exec.sequential () in
-          Option.map
-            (fun inst -> (job, inst, Engine.Backend.steps inst))
-            (materialize_tracked ~exec job))
-        batch
+    let jobs = Array.of_list batch in
+    let n = Array.length jobs in
+    let order = Array.init n Fun.id in
+    Array.stable_sort
+      (fun a b -> compare (Job.est_cells jobs.(b)) (Job.est_cells jobs.(a)))
+      order;
+    let on_lanes body =
+      let results = Array.make n (Error "did not run") in
+      Parallel.Exec.parallel_for ~schedule:(Parallel.Chunk.Dynamic 1)
+        cfg.exec ~lo:0 ~hi:n (fun k ->
+          let i = order.(k) in
+          results.(i) <- Result.join (capture (fun () -> body i)));
+      results
     in
-    let arr = Array.of_list lives in
-    let n = Array.length arr in
-    if n > 0 then begin
-      let results = Array.make n (Error "slice did not run") in
-      Parallel.Exec.parallel_for cfg.exec ~lo:0 ~hi:n (fun i ->
-          let job, inst, _ = arr.(i) in
-          results.(i) <-
-            (match run_slice cfg job inst with
-             | m -> Ok m
-             | exception e -> Error (describe_exn e)));
-      Array.iteri
-        (fun i (job, inst, steps_before) ->
-          match results.(i) with
-          | Ok m -> settle job inst ~steps_before m
-          | Error msg -> fail ~inst job msg)
-        arr
-    end
+    let insts =
+      on_lanes (fun i ->
+          let inst, how =
+            materialize cfg ~exec:(Parallel.Exec.sequential ()) jobs.(i)
+          in
+          Ok (inst, how, Engine.Backend.steps inst))
+    in
+    Array.iteri
+      (fun i -> function
+        | Ok (_, how, _) -> dispatched jobs.(i) how
+        | Error msg -> fail jobs.(i) msg)
+      insts;
+    let slices =
+      on_lanes (fun i ->
+          Result.map
+            (fun (inst, _, _) ->
+              let m = run_slice cfg jobs.(i) inst in
+              (m, capture (fun () -> checkpoint cfg jobs.(i) inst)))
+            insts.(i))
+    in
+    Array.iteri
+      (fun i r ->
+        match (insts.(i), r) with
+        | Ok (inst, _, steps_before), Ok (m, ckpt) ->
+          settle jobs.(i) inst ~steps_before m ckpt
+        | Ok (inst, _, _), Error msg -> fail ~inst jobs.(i) msg
+        | Error _, _ -> ())
+      slices
   in
   let run_large job =
-    match materialize_tracked ~exec:cfg.exec job with
-    | None -> ()
-    | Some inst -> (
+    match materialize cfg ~exec:cfg.exec job with
+    | exception e -> fail job (describe_exn e)
+    | inst, how -> (
+      dispatched job how;
       let steps_before = Engine.Backend.steps inst in
       match run_slice cfg job inst with
-      | m -> settle job inst ~steps_before m
+      | m ->
+        settle job inst ~steps_before m
+          (capture (fun () -> checkpoint cfg job inst))
       | exception e -> fail ~inst job (describe_exn e))
   in
   let small (job : Job.t) = Job.est_cells job <= cfg.small_cells in

@@ -4,13 +4,26 @@
     One {!drain} round takes the fair-share head from the queue and
     classifies it by estimated cell count.  A {e small} job (a 1D
     tube) pulls up to [batch_max - 1] further small jobs from the
-    queue and the whole batch advances one slice inside a single
-    shared [parallel_for] dispatch over job indices — each job steps
-    on its own private sequential exec, so many tubes saturate the
-    lanes with one barrier per slice instead of one per region.  A
-    {e large} job (a 2D field) runs its slice alone directly on the
-    shared exec, tiled per its descriptor, using every lane for one
-    solve.
+    queue, and the batch runs as two shared dispatches over job
+    indices, each job on its own private sequential exec:
+
+    + {e materialise} — every job is created or resumed on the lanes;
+      back on the orchestrating domain the [Dispatched] events (and
+      [Failed] outcomes for jobs that could not be materialised) are
+      emitted in queue order;
+    + {e slice + checkpoint} — every job steps one slice and writes its
+      checkpoint on the lanes; back on the orchestrator each job is
+      settled in queue order (service charged, then completed or
+      requeued).
+
+    Lanes claim jobs one at a time, longest first by {!Job.est_cells},
+    through [Dynamic 1] scheduling, so a batch of mixed-cost tubes
+    balances across lanes with one barrier per dispatch instead of one
+    per region.  (The fork/join scheduler models static scheduling
+    only and falls back to static chunks of the longest-first order,
+    as {!Parallel.Exec.parallel_for} documents.)  A {e large}
+    job (a 2D field) runs its slice alone directly on the shared exec,
+    tiled per its descriptor, using every lane for one solve.
 
     Preemption is unconditional: at the end of every slice each
     unfinished job writes a checkpoint (retained per the config) and
@@ -21,7 +34,10 @@
     run's — the property the fleet tests pin across all three
     schedulers.  It also means crash recovery and preemption are the
     same code path: a [kill -9] just looks like a slightly stale
-    preemption.
+    preemption.  (A batch's checkpoints all land before any of its
+    results is reported, so a kill in between leaves finished jobs
+    whose restart resumes at their target, runs no step, and reports
+    once.)
 
     Exceptions inside a job (unknown scenario, solver blow-up,
     descriptor/checkpoint mismatch) are caught per job slot and
@@ -79,9 +95,16 @@ val outcome_kv : outcome -> (string * string) list
 
 type event =
   | Dispatched of Job.t * [ `Fresh | `Resumed of string ]
-      (** materialised for a slice, fresh or from a checkpoint path *)
-  | Preempted of Job.t * int  (** requeued at the given total step *)
+      (** materialised for a slice, fresh or from a checkpoint path;
+          for a batch, fired after the whole batch has materialised
+          and before any of it steps *)
+  | Preempted of Job.t * int
+      (** checkpointed and requeued at the given total step *)
   | Completed of outcome
+(** Per batch, every [Dispatched] (and every materialisation
+    [Failed]) comes before any of the batch's [Preempted] /
+    [Completed] settles; both runs are in queue order, whichever lane
+    ran which job. *)
 
 val drain :
   ?on_event:(event -> unit) ->

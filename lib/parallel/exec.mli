@@ -63,8 +63,10 @@ val parallel_for :
   t -> lo:int -> hi:int -> (int -> unit) -> unit
 (** One data-parallel region over [\[lo, hi)]; [schedule] (default
     static) selects the SPMD pool's work distribution, mirroring
-    OMP_SCHEDULE.  [region] (default [Other]) labels the timing
-    bucket the region is charged to. *)
+    OMP_SCHEDULE.  The fork/join scheduler ignores it and always
+    splits the range into static contiguous chunks.  [region]
+    (default [Other]) labels the timing bucket the region is charged
+    to. *)
 
 val parallel_for_lanes :
   ?schedule:Chunk.schedule ->

@@ -8,12 +8,17 @@
 #      drain-mode server, and require a result file per job — every
 #      well-formed job "done", the malformed one "failed" with a
 #      reason.  The malformed job makes the server exit non-zero,
-#      which is asserted too.
-#   2. kill -9 mid-fleet: start a server on long-running jobs, SIGKILL
+#      which is asserted too.  The same batch is then drained under
+#      `--sched spmd --lanes 2` and `--sched forkjoin --lanes 2`, and
+#      every done job's final checkpoint must `cmp` equal to the
+#      sequential drain's.
+#   2. kill -9 mid-fleet: start a server on long-running jobs (large
+#      fields alone on the lanes, plus a batch of small tubes), SIGKILL
 #      it once at least one result exists, restart in drain mode, and
 #      require every job to finish with exactly one result file —
 #      adopted from the active set and resumed from its checkpoints,
-#      never redone from scratch into a second result.
+#      never redone from scratch into a second result, even though a
+#      batch's checkpoints land before any of its results.
 #
 # Invokes the built binary directly (not through `dune exec`) so the
 # kill hits the server process itself.
@@ -36,61 +41,88 @@ submit() { # dir id lines...
 }
 
 # --- 1. mixed batch drain ---------------------------------------------------
-box="$work/batch"
-i=0
-for owner in alice bob carol; do
-  for scen in sod lax 123; do
-    i=$((i + 1))
-    submit "$box" "tube-$owner-$scen" \
-      "fleetjob 1" "submitter $owner" "priority $i" \
-      "scenario $scen" "nx 40" "steps 20"
+fill_mixed() { # dir
+  i=0
+  for owner in alice bob carol; do
+    for scen in sod lax 123; do
+      i=$((i + 1))
+      submit "$1" "tube-$owner-$scen" \
+        "fleetjob 1" "submitter $owner" "priority $i" \
+        "scenario $scen" "nx $((24 + 8 * i))" "steps 20"
+    done
   done
-done
-submit "$box" "quad" \
-  "fleetjob 1" "submitter alice" "scenario quadrant" "nx 16" \
-  "tiles 2x2" "steps 6"
-submit "$box" "sacjob" \
-  "fleetjob 1" "submitter bob" "backend sacprog" "scenario sod" \
-  "nx 40" "steps 20"
-submit "$box" "broken" "fleetjob 1" "scenario sod" "steps 20" "wibble 3"
+  submit "$1" "quad" \
+    "fleetjob 1" "submitter alice" "scenario quadrant" "nx 16" \
+    "tiles 2x2" "steps 6"
+  submit "$1" "sacjob" \
+    "fleetjob 1" "submitter bob" "backend sacprog" "scenario sod" \
+    "nx 40" "steps 20"
+  submit "$1" "broken" "fleetjob 1" "scenario sod" "steps 20" "wibble 3"
+}
 
-if "$sim" serve "$box" --drain --slice 8 --quiet >/dev/null 2>&1; then
-  echo "fleet_smoke: server should exit non-zero when a job failed" >&2
-  exit 1
-fi
-
-for id in quad sacjob; do
-  grep -q '^status done$' "$box/done/$id.result" 2>/dev/null || {
-    echo "fleet_smoke: job $id did not report done" >&2
+drain_mixed() { # dir [serve options...]
+  box=$1; shift
+  fill_mixed "$box"
+  if "$sim" serve "$box" --drain --slice 8 --quiet "$@" >/dev/null 2>&1; then
+    echo "fleet_smoke: server should exit non-zero when a job failed ($*)" >&2
+    exit 1
+  fi
+  for id in quad sacjob; do
+    grep -q '^status done$' "$box/done/$id.result" 2>/dev/null || {
+      echo "fleet_smoke: job $id did not report done ($*)" >&2
+      exit 1
+    }
+  done
+  done_count=$(grep -l '^status done$' "$box"/done/*.result | wc -l)
+  [ "$done_count" -eq 11 ] || {
+    echo "fleet_smoke: expected 11 done jobs, saw $done_count ($*)" >&2
     exit 1
   }
-done
-done_count=$(grep -l '^status done$' "$box"/done/*.result | wc -l)
-[ "$done_count" -eq 11 ] || {
-  echo "fleet_smoke: expected 11 done jobs, saw $done_count" >&2
-  exit 1
+  grep -q '^status failed$' "$box/done/broken.result" \
+    && grep -q '^error .*wibble' "$box/done/broken.result" || {
+    echo "fleet_smoke: malformed job should fail with a reason ($*)" >&2
+    exit 1
+  }
+  [ -z "$(ls -A "$box/inbox")" ] && [ -z "$(ls -A "$box/active")" ] || {
+    echo "fleet_smoke: inbox/active not empty after drain ($*)" >&2
+    exit 1
+  }
 }
-grep -q '^status failed$' "$box/done/broken.result" \
-  && grep -q '^error .*wibble' "$box/done/broken.result" || {
-  echo "fleet_smoke: malformed job should fail with a reason" >&2
-  exit 1
+
+final_ckpt() { # result-file
+  sed -n 's/^final_ckpt //p' "$1"
 }
-[ -z "$(ls -A "$box/inbox")" ] && [ -z "$(ls -A "$box/active")" ] || {
-  echo "fleet_smoke: inbox/active not empty after drain" >&2
-  exit 1
-}
+
+drain_mixed "$work/batch"
 echo "fleet_smoke: mixed batch drained, 11 done + 1 failed-with-reason"
+for sched in spmd forkjoin; do
+  drain_mixed "$work/batch-$sched" --sched "$sched" --lanes 2
+  for result in $(grep -l '^status done$' "$work/batch"/done/*.result); do
+    other="$work/batch-$sched/done/$(basename "$result")"
+    cmp -s "$(final_ckpt "$result")" "$(final_ckpt "$other")" || {
+      echo "fleet_smoke: $(basename "$result" .result) under $sched differs" \
+        "from the sequential drain" >&2
+      exit 1
+    }
+  done
+  echo "fleet_smoke: $sched drain of the mixed batch byte-identical to sequential"
+done
 
 # --- 2. kill -9 mid-fleet ---------------------------------------------------
 box="$work/kill"
 for n in 1 2 3 4; do
   submit "$box" "long-$n" \
     "fleetjob 1" "submitter alice" "scenario sod" "nx 8192" "steps 400"
+  submit "$box" "tube-$n" \
+    "fleetjob 1" "submitter bob" "scenario lax" "nx $((96 + 32 * n))" \
+    "steps 8000"
 done
-# nx 8192 > the small-job threshold, so the jobs run serially, one slice
-# at a time.  Kill only once at least one job has finished AND another
-# is mid-flight with a checkpoint on disk — that guarantees the restart
-# has something to resume rather than redo.
+# nx 8192 > the small-job threshold, so the long jobs run serially, one
+# slice at a time; fair share interleaves them with bob's batch of
+# tubes, which is still mid-flight at the kill.  Kill only once at
+# least one long job has finished AND another is mid-flight with a
+# checkpoint on disk — that guarantees the restart has something to
+# resume rather than redo.
 ready_to_kill() {
   got_result=0
   got_pending_ckpt=0
@@ -107,7 +139,7 @@ ready_to_kill() {
 pid=$!
 tries=0
 until ready_to_kill; do
-  if [ "$(ls "$box/done" 2>/dev/null | grep -c '\.result$')" -eq 4 ]; then
+  if [ "$(ls "$box/done" 2>/dev/null | grep -c '\.result$')" -eq 8 ]; then
     kill -9 "$pid" 2>/dev/null || true
     echo "fleet_smoke: fleet finished before the kill landed; grow the jobs" >&2
     exit 1
@@ -133,15 +165,15 @@ restart_log="$work/restart.log"
   cat "$restart_log" >&2
   exit 1
 }
-for n in 1 2 3 4; do
-  grep -q '^status done$' "$box/done/long-$n.result" 2>/dev/null || {
-    echo "fleet_smoke: job long-$n missing after restart" >&2
+for id in long-1 long-2 long-3 long-4 tube-1 tube-2 tube-3 tube-4; do
+  grep -q '^status done$' "$box/done/$id.result" 2>/dev/null || {
+    echo "fleet_smoke: job $id missing after restart" >&2
     exit 1
   }
 done
 result_count=$(ls "$box/done" | grep -c '\.result$')
-[ "$result_count" -eq 4 ] || {
-  echo "fleet_smoke: expected exactly 4 results, saw $result_count" >&2
+[ "$result_count" -eq 8 ] || {
+  echo "fleet_smoke: expected exactly 8 results, saw $result_count" >&2
   exit 1
 }
 [ -z "$(ls -A "$box/active")" ] || {

@@ -50,6 +50,51 @@ let test_registry_rejects_bad_spec () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* sacprog compile cache                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* 20 steps of dt + step_dt: the dt sequence as bits, and the final
+   snapshot's bytes. *)
+let sacprog_trajectory inst =
+  let dts =
+    List.init 20 (fun _ ->
+        let dt = Engine.Backend.dt inst in
+        Engine.Backend.step_dt inst dt;
+        Int64.bits_of_float dt)
+  in
+  (dts, Persist.Snapshot.encode (Engine.Backend.snapshot inst))
+
+(* Runs first in this binary, so both lanes race the first compile. *)
+let test_sacprog_concurrent_creates () =
+  let exec = Parallel.Exec.spmd ~lanes:2 in
+  let runs = Array.make 2 None in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Exec.shutdown exec)
+    (fun () ->
+      Parallel.Exec.parallel_for exec ~lo:0 ~hi:2 (fun i ->
+          runs.(i) <-
+            Some
+              (sacprog_trajectory
+                 (Engine.Registry.create ~exec:(Parallel.Exec.sequential ())
+                    "sacprog" (sod ())))));
+  let alone = sacprog_trajectory (Engine.Registry.create "sacprog" (sod ())) in
+  Array.iteri
+    (fun i r ->
+      check_bool
+        (Printf.sprintf "lane %d steps bitwise like one created alone" i)
+        true (r = Some alone))
+    runs
+
+let test_sacprog_compiles_once () =
+  ignore (Engine.Registry.create "sacprog" (sod ()));
+  let first = Engine.Backends.euler_1d () in
+  ignore (Engine.Registry.create "sacprog" (sod ()));
+  check_bool "creates share one compiled program" true
+    (Engine.Backends.euler_1d () == first);
+  check_bool "compile_euler_1d still compiles afresh" true
+    (Sacprog.Runner.compile_euler_1d () != first)
+
+(* ------------------------------------------------------------------ *)
 (* Shared driver                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -667,7 +712,12 @@ let test_sod_l1_monotone () =
 
 let () =
   Alcotest.run "engine"
-    [ ( "registry",
+    [ ( "sacprog cache",
+        [ Alcotest.test_case "concurrent creates step bitwise" `Quick
+            test_sacprog_concurrent_creates;
+          Alcotest.test_case "compiled once per process" `Quick
+            test_sacprog_compiles_once ] );
+      ( "registry",
         [ Alcotest.test_case "names" `Quick test_registry_names;
           Alcotest.test_case "find" `Quick test_registry_find;
           Alcotest.test_case "bad specs" `Quick

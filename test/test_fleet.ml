@@ -36,10 +36,21 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let job ?(submitter = "anon") ?(priority = 0) ?nx ?recon ?riemann ?tiles
-    ?(scenario = "sod") id target =
-  Fleet.Job.make ~submitter ~priority ?nx ?recon ?riemann ?tiles ~id ~scenario
-    target
+let job ?(submitter = "anon") ?(priority = 0) ?backend ?nx ?recon ?riemann
+    ?tiles ?(scenario = "sod") id target =
+  Fleet.Job.make ~submitter ~priority ?backend ?nx ?recon ?riemann ?tiles ~id
+    ~scenario target
+
+(* The encoded final snapshot of one sequential, uninterrupted march
+   of the job's descriptor. *)
+let uninterrupted (j : Fleet.Job.t) steps =
+  let inst =
+    Engine.Registry.create
+      ~exec:(Parallel.Exec.sequential ())
+      ~config:(Fleet.Job.config j) j.Fleet.Job.backend (Fleet.Job.problem j)
+  in
+  ignore (Engine.Run.run_steps inst steps);
+  Persist.Snapshot.encode (Engine.Backend.snapshot inst)
 
 (* ------------------------------------------------------------------ *)
 (* Job descriptors                                                     *)
@@ -174,18 +185,7 @@ let test_queue_eligible () =
 let bitwise_preemption ~make_exec ~small_cells () =
   let steps = 40 in
   let the_job = job ~nx:48 "pin" (Fleet.Job.Steps steps) in
-  (* Uninterrupted: one sequential march of the same descriptor. *)
-  let expected =
-    let inst =
-      Engine.Registry.create
-        ~exec:(Parallel.Exec.sequential ())
-        ~config:(Fleet.Job.config the_job)
-        the_job.Fleet.Job.backend
-        (Fleet.Job.problem the_job)
-    in
-    ignore (Engine.Run.run_steps inst steps);
-    Persist.Snapshot.encode (Engine.Backend.snapshot inst)
-  in
+  let expected = uninterrupted the_job steps in
   with_tmpdir (fun dir ->
       let exec = make_exec () in
       let cfg =
@@ -230,6 +230,105 @@ let test_bitwise_spmd_large =
   bitwise_preemption
     ~make_exec:(fun () -> Parallel.Exec.spmd ~lanes:2)
     ~small_cells:0
+
+(* One batch of mixed-cost tubes (48-160 cells, reference, fortran
+   and sacprog) plus one job whose materialisation raises on a lane:
+   its checkpoint directory holds a snapshot of a different
+   descriptor, so resuming it is a [Snapshot.Mismatch].  Only that job
+   fails, every other one ends byte-identical to its uninterrupted run,
+   and each batch emits all its dispatches (and materialisation
+   failures) and then all its settles, each in queue order —
+   whichever lane ran which job. *)
+let heterogeneous_batch ~make_exec () =
+  let steps = 20 and slice = 7 in
+  let jobs =
+    [ job ~nx:160 "q0-tube" (Fleet.Job.Steps steps);
+      job ~nx:48 ~scenario:"lax" "q1-tube" (Fleet.Job.Steps steps);
+      job ~nx:96 "q2-bad" (Fleet.Job.Steps steps);
+      job ~backend:"sacprog" ~nx:64 "q3-sac" (Fleet.Job.Steps steps);
+      job ~nx:120 ~scenario:"123" ~backend:"fortran" "q4-tube"
+        (Fleet.Job.Steps steps);
+      job ~nx:64 ~recon:Euler.Recon.Weno3 ~riemann:Euler.Riemann.Hllc
+        "q5-tube" (Fleet.Job.Steps steps);
+      job ~nx:80 ~scenario:"lax" "q6-tube" (Fleet.Job.Steps steps) ]
+  in
+  let ids = List.map (fun (j : Fleet.Job.t) -> j.Fleet.Job.id) jobs in
+  let good = List.filter (( <> ) "q2-bad") ids in
+  with_tmpdir (fun dir ->
+      let exec = make_exec () in
+      let cfg =
+        Fleet.Scheduler.config ~exec ~slice_steps:slice ~ckpt_root:dir ()
+      in
+      let planted =
+        Engine.Registry.create "reference"
+          (Fleet.Job.problem (job ~nx:48 "other" (Fleet.Job.Steps 1)))
+      in
+      ignore
+        (Persist.Checkpoint.save
+           ~dir:(Fleet.Scheduler.ckpt_dir cfg (List.nth jobs 2))
+           (Engine.Backend.snapshot planted));
+      let q = Fleet.Queue.create () in
+      List.iter (Fleet.Queue.submit q) jobs;
+      let events = ref [] in
+      let on_event ev =
+        events :=
+          (match ev with
+           | Fleet.Scheduler.Dispatched (j, `Fresh) ->
+             "dispatch fresh " ^ j.Fleet.Job.id
+           | Fleet.Scheduler.Dispatched (j, `Resumed _) ->
+             "dispatch resumed " ^ j.Fleet.Job.id
+           | Fleet.Scheduler.Preempted (j, n) ->
+             Printf.sprintf "preempt %s at %d" j.Fleet.Job.id n
+           | Fleet.Scheduler.Completed o ->
+             (match o.Fleet.Scheduler.status with
+              | Fleet.Scheduler.Done -> "done "
+              | Fleet.Scheduler.Failed _ -> "failed ")
+             ^ o.Fleet.Scheduler.job.Fleet.Job.id)
+          :: !events
+      in
+      let outcomes =
+        Fun.protect
+          ~finally:(fun () -> Parallel.Exec.shutdown exec)
+          (fun () -> Fleet.Scheduler.drain ~on_event cfg q)
+      in
+      let first =
+        List.map
+          (fun id ->
+            if id = "q2-bad" then "failed " ^ id else "dispatch fresh " ^ id)
+          ids
+        @ List.map (fun id -> "preempt " ^ id ^ " at 7") good
+      in
+      let round settle =
+        List.map (( ^ ) "dispatch resumed ") good @ List.map settle good
+      in
+      Alcotest.(check (list string))
+        "per batch: dispatches, then settles, each in queue order"
+        (first
+        @ round (fun id -> "preempt " ^ id ^ " at 14")
+        @ round (( ^ ) "done "))
+        (List.rev !events);
+      List.iter
+        (fun (o : Fleet.Scheduler.outcome) ->
+          let j = o.Fleet.Scheduler.job in
+          match (j.Fleet.Job.id, o.Fleet.Scheduler.status) with
+          | "q2-bad", Fleet.Scheduler.Failed msg ->
+            check_bool "the planted job fails on the mismatch" true
+              (String.starts_with ~prefix:"snapshot mismatch" msg)
+          | id, Fleet.Scheduler.Done -> (
+            match o.Fleet.Scheduler.final_ckpt with
+            | Some path ->
+              check_bool (id ^ " bitwise-identical to uninterrupted") true
+                (read_file path = uninterrupted j steps)
+            | None -> Alcotest.fail (id ^ ": no final checkpoint"))
+          | id, _ -> Alcotest.fail (id ^ ": unexpected status"))
+        outcomes;
+      check_int "every job reported" (List.length jobs) (List.length outcomes))
+
+let test_heterogeneous_spmd =
+  heterogeneous_batch ~make_exec:(fun () -> Parallel.Exec.spmd ~lanes:2)
+
+let test_heterogeneous_forkjoin =
+  heterogeneous_batch ~make_exec:(fun () -> Parallel.Exec.fork_join ~lanes:2)
 
 let test_until_target_bitwise () =
   let t_end = 0.12 in
@@ -494,7 +593,11 @@ let () =
           Alcotest.test_case "timed target bitwise" `Quick
             test_until_target_bitwise;
           Alcotest.test_case "failed job isolated" `Quick
-            test_failed_job_isolated ] );
+            test_failed_job_isolated;
+          Alcotest.test_case "heterogeneous batch (spmd)" `Quick
+            test_heterogeneous_spmd;
+          Alcotest.test_case "heterogeneous batch (forkjoin)" `Quick
+            test_heterogeneous_forkjoin ] );
       ( "inbox",
         [ Alcotest.test_case "lifecycle and exactly-once" `Quick
             test_inbox_lifecycle;

@@ -59,6 +59,54 @@ let test_crc_incremental () =
     (Invalid_argument "Crc32.update: range out of bounds") (fun () ->
       ignore (Persist.Crc32.update 0l "abc" ~pos:1 ~len:3))
 
+(* The original bytewise implementation over boxed [Int32], kept as
+   the reference the table-sliced [Crc32.update] must match bit for
+   bit. *)
+let crc_reference crc s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor (Int32.shift_right_logical !c 1) 0xEDB88320l
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref (Int32.lognot crc) in
+  for i = pos to pos + len - 1 do
+    let idx =
+      Int32.to_int
+        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.lognot !c
+
+let test_crc_matches_reference () =
+  let rng = Random.State.make [| 32 |] in
+  let s = String.init 4096 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for _ = 1 to 500 do
+    let pos = Random.State.int rng 64 in
+    let len = Random.State.int rng (String.length s - pos + 1) in
+    (* Any running CRC, including ones with the top bit set. *)
+    let crc = Random.State.bits32 rng in
+    Alcotest.(check int32) "one pass"
+      (crc_reference crc s ~pos ~len)
+      (Persist.Crc32.update crc s ~pos ~len);
+    (* The same range folded in random incremental pieces. *)
+    let c = ref crc and at = ref pos and left = ref len in
+    while !left > 0 do
+      let k = 1 + Random.State.int rng (min !left 37) in
+      c := Persist.Crc32.update !c s ~pos:!at ~len:k;
+      at := !at + k;
+      left := !left - k
+    done;
+    Alcotest.(check int32) "incremental splits"
+      (crc_reference crc s ~pos ~len) !c
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot encode/decode                                              *)
 (* ------------------------------------------------------------------ *)
@@ -400,7 +448,9 @@ let () =
   Alcotest.run "persist"
     [ ( "crc32",
         [ Alcotest.test_case "known answer" `Quick test_crc_known_answer;
-          Alcotest.test_case "incremental" `Quick test_crc_incremental ] );
+          Alcotest.test_case "incremental" `Quick test_crc_incremental;
+          Alcotest.test_case "matches the bytewise reference" `Quick
+            test_crc_matches_reference ] );
       ( "snapshot",
         [ Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_roundtrip_file;
